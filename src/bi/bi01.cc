@@ -6,7 +6,8 @@
 
 namespace snb::bi {
 
-std::vector<Bi1Row> RunBi1(const Graph& graph, const Bi1Params& params) {
+std::vector<Bi1Row> RunBi1(const Graph& graph, const Bi1Params& params,
+                           util::ThreadPool* pool) {
   using internal::Bi1Group;
   using internal::Bi1Key;
   const core::DateTime cutoff = core::DateTimeFromDate(params.date);
@@ -16,21 +17,37 @@ std::vector<Bi1Row> RunBi1(const Graph& graph, const Bi1Params& params) {
   // group-by). The creation-date index replaces the full scan plus
   // per-message date filter (CP-2.2): only messages before the cutoff are
   // visited.
-  std::map<Bi1Key, Bi1Group> groups;
-  int64_t total = 0;
-
-  CancelPoller poll;
-  graph.ForEachMessageInRange(
-      storage::kMinMessageDate, cutoff, [&](uint32_t msg) {
-        poll.Tick();
-        int32_t length = graph.MessageLength(msg);
-        Bi1Group& g =
-            groups[{core::Year(graph.MessageCreationDate(msg)),
-                    !Graph::IsPost(msg), internal::Bi1LengthCategory(length)}];
-        ++g.count;
-        g.sum_length += length;
-        ++total;
+  struct State {
+    std::map<Bi1Key, Bi1Group> groups;
+    int64_t total = 0;
+  };
+  const Graph::MessageRangeView range =
+      graph.MessageRange(storage::kMinMessageDate, cutoff);
+  State state;
+  internal::Aggregate(
+      pool, range.size(), state, [] { return State{}; },
+      [&](State& s, size_t begin, size_t end) {
+        CancelPoller poll;
+        range.ForEach(begin, end, [&](uint32_t msg) {
+          poll.Tick();
+          int32_t length = graph.MessageLength(msg);
+          Bi1Group& g = s.groups[{core::Year(graph.MessageCreationDate(msg)),
+                                  !Graph::IsPost(msg),
+                                  internal::Bi1LengthCategory(length)}];
+          ++g.count;
+          g.sum_length += length;
+          ++s.total;
+        });
+      },
+      [](State& into, const State& from) {
+        for (const auto& [key, g] : from.groups) {
+          Bi1Group& target = into.groups[key];
+          target.count += g.count;
+          target.sum_length += g.sum_length;
+        }
+        into.total += from.total;
       });
+  const auto& [groups, total] = state;
 
   std::vector<Bi1Row> rows;
   rows.reserve(groups.size());

@@ -8,7 +8,8 @@
 
 namespace snb::bi {
 
-std::vector<Bi2Row> RunBi2(const Graph& graph, const Bi2Params& params) {
+std::vector<Bi2Row> RunBi2(const Graph& graph, const Bi2Params& params,
+                           util::ThreadPool* pool) {
   using internal::Bi2Key;
   using internal::Bi2KeyHash;
   using internal::CountryIdx;
@@ -28,44 +29,57 @@ std::vector<Bi2Row> RunBi2(const Graph& graph, const Bi2Params& params) {
     return static_cast<int32_t>(years / 5);
   };
 
-  std::unordered_map<Bi2Key, int64_t, Bi2KeyHash> counts;
-
-  CancelPoller poll(256);  // per-person work is a message expansion
-  auto scan_person_messages = [&](uint32_t person, uint32_t country) {
-    poll.Tick();
-    // Person-granularity date-zone pruning (CP-2.3): a person whose message
-    // dates all miss the window contributes nothing — skip the expansion
-    // before touching either adjacency list.
-    if (!graph.PersonHasMessagesIn(person, start, end)) {
-      storage::CountBlocksSkippedDate(1);
-      return;
-    }
-    bool female = graph.PersonIsFemale(person);
-    int32_t age_group = age_group_of(person);
-    auto handle = [&](uint32_t msg) {
-      storage::CountRowsDecoded(1);
-      core::DateTime created = graph.MessageCreationDate(msg);
-      if (created < start || created >= end) return;
-      int32_t month = core::Month(created);
-      graph.ForEachMessageTag(msg, [&](uint32_t tag) {
-        ++counts[{country, month, female, age_group, tag}];
-      });
-    };
-    graph.PersonPosts().ForEach(person, [&](uint32_t post) {
-      handle(Graph::MessageOfPost(post));
-    });
-    graph.PersonComments().ForEach(person, [&](uint32_t comment) {
-      handle(Graph::MessageOfComment(comment));
-    });
-  };
-
+  // The domain: persons of the first country, then of the second (skipped
+  // when unknown or the same country twice).
+  std::vector<uint32_t> persons[2];
   for (int c = 0; c < 2; ++c) {
     if (countries[c] == storage::kNoIdx) continue;
     if (c == 1 && countries[1] == countries[0]) break;  // same country twice
-    graph.CountryPersons().ForEach(countries[c], [&](uint32_t person) {
-      scan_person_messages(person, countries[c]);
-    });
+    persons[c] = graph.CountryPersons().Collect(countries[c]);
   }
+
+  using CountMap = std::unordered_map<Bi2Key, int64_t, Bi2KeyHash>;
+  CountMap counts;
+  internal::Aggregate(
+      pool, persons[0].size() + persons[1].size(), counts,
+      [] { return CountMap{}; },
+      [&](CountMap& local, size_t begin, size_t domain_end) {
+        CancelPoller poll(256);  // per-person work is a message expansion
+        for (size_t i = begin; i < domain_end; ++i) {
+          poll.Tick();
+          const int c = i < persons[0].size() ? 0 : 1;
+          const uint32_t person = persons[c][i - c * persons[0].size()];
+          const uint32_t country = countries[c];
+          // Person-granularity date-zone pruning (CP-2.3): a person whose
+          // message dates all miss the window contributes nothing — skip the
+          // expansion before touching either adjacency list.
+          if (!graph.PersonHasMessagesIn(person, start, end)) {
+            storage::CountBlocksSkippedDate(1);
+            continue;
+          }
+          bool female = graph.PersonIsFemale(person);
+          int32_t age_group = age_group_of(person);
+          auto handle = [&](uint32_t msg) {
+            storage::CountRowsDecoded(1);
+            core::DateTime created = graph.MessageCreationDate(msg);
+            if (created < start || created >= end) return;
+            int32_t month = core::Month(created);
+            graph.ForEachMessageTag(msg, [&](uint32_t tag) {
+              ++local[{country, month, female, age_group, tag}];
+            });
+          };
+          graph.PersonPosts().ForEach(person, [&](uint32_t post) {
+            handle(Graph::MessageOfPost(post));
+          });
+          graph.PersonComments().ForEach(person, [&](uint32_t comment) {
+            handle(Graph::MessageOfComment(comment));
+          });
+        }
+      },
+      [](CountMap& into, const CountMap& from) {
+        for (const auto& [key, count] : from) into[key] += count;
+      },
+      internal::kExpandMorselSize);
 
   // Top-k finisher over integer-keyed candidates: the CP-1.3 bound on the
   // message count drops losing groups before any name string is built (the

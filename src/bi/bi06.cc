@@ -8,7 +8,8 @@
 
 namespace snb::bi {
 
-std::vector<Bi6Row> RunBi6(const Graph& graph, const Bi6Params& params) {
+std::vector<Bi6Row> RunBi6(const Graph& graph, const Bi6Params& params,
+                           util::ThreadPool* pool) {
   std::vector<Bi6Row> rows;
   const uint32_t tag = graph.TagByName(params.tag);
   if (tag == storage::kNoIdx) return rows;
@@ -18,22 +19,39 @@ std::vector<Bi6Row> RunBi6(const Graph& graph, const Bi6Params& params) {
     int64_t replies = 0;
     int64_t likes = 0;
   };
-  std::unordered_map<uint32_t, Agg> by_person;
+  using AggMap = std::unordered_map<uint32_t, Agg>;
 
-  CancelPoller poll;
-  auto handle = [&](uint32_t msg) {
-    poll.Tick();
-    if (!graph.MessageAlive(msg)) return;  // tag adjacency keeps dead rows
-    Agg& a = by_person[graph.MessageCreator(msg)];
-    ++a.messages;
-    a.likes += internal::MessageLikeCount(graph, msg);
-    a.replies += graph.LiveReplyCount(msg);
-  };
-  graph.TagPosts().ForEach(
-      tag, [&](uint32_t post) { handle(Graph::MessageOfPost(post)); });
-  graph.TagComments().ForEach(tag, [&](uint32_t comment) {
-    handle(Graph::MessageOfComment(comment));
-  });
+  // The domain: the tag's posts, then its comments.
+  const std::vector<uint32_t> posts = graph.TagPosts().Collect(tag);
+  const std::vector<uint32_t> comments = graph.TagComments().Collect(tag);
+  AggMap by_person;
+  internal::Aggregate(
+      pool, posts.size() + comments.size(), by_person, [] { return AggMap{}; },
+      [&](AggMap& local, size_t begin, size_t end) {
+        CancelPoller poll;
+        for (size_t i = begin; i < end; ++i) {
+          poll.Tick();
+          const uint32_t msg =
+              i < posts.size()
+                  ? Graph::MessageOfPost(posts[i])
+                  : Graph::MessageOfComment(comments[i - posts.size()]);
+          // Tag adjacency keeps dead rows until compaction.
+          if (!graph.MessageAlive(msg)) continue;
+          Agg& a = local[graph.MessageCreator(msg)];
+          ++a.messages;
+          a.likes += internal::MessageLikeCount(graph, msg);
+          a.replies += graph.LiveReplyCount(msg);
+        }
+      },
+      [](AggMap& into, const AggMap& from) {
+        for (const auto& [person, a] : from) {
+          Agg& target = into[person];
+          target.messages += a.messages;
+          target.replies += a.replies;
+          target.likes += a.likes;
+        }
+      },
+      1024);
 
   // Top-k finisher with CP-1.3 bound pushdown: the score is computable from
   // the aggregate alone, so a person strictly below the k-th score is

@@ -8,7 +8,8 @@
 
 namespace snb::bi {
 
-std::vector<Bi14Row> RunBi14(const Graph& graph, const Bi14Params& params) {
+std::vector<Bi14Row> RunBi14(const Graph& graph, const Bi14Params& params,
+                             util::ThreadPool* pool) {
   const core::DateTime begin = core::DateTimeFromDate(params.begin);
   const core::DateTime end =
       core::DateTimeFromDate(params.end) + core::kMillisPerDay;  // inclusive
@@ -17,32 +18,57 @@ std::vector<Bi14Row> RunBi14(const Graph& graph, const Bi14Params& params) {
     int64_t threads = 0;
     int64_t messages = 0;
   };
-  std::unordered_map<uint32_t, Agg> by_person;
+  using AggMap = std::unordered_map<uint32_t, Agg>;
+  auto merge = [](AggMap& into, const AggMap& from) {
+    for (const auto& [person, a] : from) {
+      Agg& target = into[person];
+      target.threads += a.threads;
+      target.messages += a.messages;
+    }
+  };
 
   // Both passes scan only the [begin, end) slice of the creation-date
   // index (CP-2.2/2.3) instead of the full post/comment tables.
   // Pass 1 — window posts: thread roots. A post contributes to its creator.
-  CancelPoller poll;
-  std::vector<bool> post_in_window(graph.NumPosts(), false);
-  graph.ForEachMessageInRange(begin, end, [&](uint32_t msg) {
-    poll.Tick();
-    if (!Graph::IsPost(msg)) return;
-    uint32_t post = Graph::AsPost(msg);
-    post_in_window[post] = true;
-    Agg& a = by_person[graph.PostCreator(post)];
-    ++a.threads;
-    ++a.messages;
-  });
+  // Each post appears at most once in the range, so the bitmap writes are
+  // disjoint across morsels (uint8_t, not vector<bool>: no shared-word bit
+  // packing).
+  AggMap by_person;
+  std::vector<uint8_t> post_in_window(graph.NumPosts(), 0);
+  const Graph::MessageRangeView posts = graph.MessageRange(begin, end);
+  internal::Aggregate(
+      pool, posts.size(), by_person, [] { return AggMap{}; },
+      [&](AggMap& local, size_t lo, size_t hi) {
+        CancelPoller poll;
+        posts.ForEach(lo, hi, [&](uint32_t msg) {
+          poll.Tick();
+          if (!Graph::IsPost(msg)) return;
+          uint32_t post = Graph::AsPost(msg);
+          post_in_window[post] = 1;
+          Agg& a = local[graph.PostCreator(post)];
+          ++a.threads;
+          ++a.messages;
+        });
+      },
+      merge);
   // Pass 2 — window comments whose thread root is a window post credit the
   // initiator (precomputed root; CP-7.2/7.3 transitive replyOf* collapsed
-  // at load).
-  graph.ForEachMessageInRange(begin, end, [&](uint32_t msg) {
-    poll.Tick();
-    if (Graph::IsPost(msg)) return;
-    uint32_t root = graph.CommentRootPost(Graph::AsComment(msg));
-    if (!post_in_window[root]) return;
-    ++by_person[graph.PostCreator(root)].messages;
-  });
+  // at load). The bitmap is read-only now; like pass 1, the pass is its own
+  // range scan.
+  const Graph::MessageRangeView comments = graph.MessageRange(begin, end);
+  internal::Aggregate(
+      pool, comments.size(), by_person, [] { return AggMap{}; },
+      [&](AggMap& local, size_t lo, size_t hi) {
+        CancelPoller poll;
+        comments.ForEach(lo, hi, [&](uint32_t msg) {
+          poll.Tick();
+          if (Graph::IsPost(msg)) return;
+          uint32_t root = graph.CommentRootPost(Graph::AsComment(msg));
+          if (!post_in_window[root]) return;
+          ++local[graph.PostCreator(root)].messages;
+        });
+      },
+      merge);
 
   // Top-k finisher with CP-1.3 bound pushdown: the message count alone
   // decides all but ties, so a person strictly below the k-th count is

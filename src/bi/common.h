@@ -6,14 +6,62 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "bi/cancel.h"
+#include "engine/morsel.h"
 #include "storage/graph.h"
+#include "storage/scan_stats.h"
+#include "util/thread_pool.h"
 
 namespace snb::bi::internal {
 
 using storage::Graph;
 using storage::kNoIdx;
+
+/// Elements per morsel when each element expands an adjacency list (person
+/// message scans, neighbourhood probes) rather than reading flat columns.
+constexpr size_t kExpandMorselSize = 256;
+
+/// Runs a kernel written as (init, body over [begin, end), merge) over the
+/// domain [0, n), folding the result into the accumulator `acc`.
+///
+/// Without a pool the body runs inline once over the whole domain, straight
+/// into `acc`: the sequential engine, with no dispatch machinery at all.
+/// With a pool the domain fans out in morsels through
+/// engine::ParallelAggregate (CP-1.2): each executor slot folds into its own
+/// `init()` state, and after the join `merge(acc, state)` runs on the calling
+/// thread once per surviving state in ascending slot order. Every kernel
+/// merges commutative content (integer counts and sums, top-k sets under a
+/// total order), so the result is bit-identical at any thread count.
+///
+/// The engine layer cannot depend on bi/cancel.h or ambient storage sinks
+/// (bi links against engine), so the bridge lives here: every executor
+/// re-installs the caller's CancelToken and ScanStats sink and polls the
+/// token once per morsel. A deadline fired mid-query surfaces as
+/// QueryCancelled on the calling thread after all executors joined, and
+/// every slot's scan counts land in the caller's (atomic) ScanStats.
+template <typename State, typename Init, typename Body, typename Merge>
+void Aggregate(util::ThreadPool* pool, size_t n, State& acc, Init&& init,
+               Body&& body, Merge&& merge,
+               size_t morsel_size = engine::kDefaultMorselSize) {
+  if (pool == nullptr) {
+    body(acc, size_t{0}, n);
+    return;
+  }
+  const CancelToken* token = CurrentCancelToken();
+  storage::ScanStats* stats = storage::CurrentScanStats();
+  engine::ParallelAggregate(
+      *pool, n, std::forward<Init>(init),
+      [&](State& state, size_t begin, size_t end) {
+        ScopedCancelToken guard(token);
+        storage::ScopedScanStats stats_guard(stats);
+        PollCancel();
+        body(state, begin, end);
+      },
+      [&](State& state) { merge(acc, state); }, morsel_size);
+}
 
 /// Tag bitmap (size NumTags) of tags whose class is `class_name`;
 /// `transitive` includes descendant classes. All-false when the class is

@@ -10,9 +10,7 @@
 #include "interactive/updates.h"
 #include "sched/scheduler.h"
 #include "util/check.h"
-#include "util/mutex.h"
 #include "util/rng.h"
-#include "util/thread_annotations.h"
 #include "validate/validator.h"
 
 // With SNB_CHECK_INVARIANTS defined (cmake -DSNB_CHECK_INVARIANTS=ON), the
@@ -393,8 +391,9 @@ DriverReport RunBiWorkload(const storage::Graph& graph,
   auto run = [&](const std::string& op, auto&& bindings, auto&& query) {
     size_t n = std::min(bindings_per_query, bindings.size());
     for (size_t i = 0; i < n; ++i) {
-      recorder.Run(op, 0.0, t0,
-                   [&] { return query(graph, bindings[i]).size(); });
+      recorder.Run(op, 0.0, t0, [&] {
+        return bi::RunSequential(query, graph, bindings[i]).size();
+      });
     }
   };
 
@@ -455,86 +454,6 @@ util::Status WriteResultsLog(const std::vector<ResultsLogEntry>& log,
 }
 
 
-DriverReport RunBiWorkloadParallel(const storage::Graph& graph,
-                                   const params::WorkloadParameters& params,
-                                   size_t bindings_per_query,
-                                   util::ThreadPool& pool) {
-  DriverReport report;
-  struct Sample {
-    std::string op;
-    double latency_ms;
-    size_t rows;
-  };
-  // Workers funnel their samples through the annotated sink; direct access
-  // to the vector without the lock is a clang thread-safety error.
-  struct SampleSink {
-    util::Mutex mu{SNB_LOCK_SITE("driver.sample_sink.mu")};
-    std::vector<Sample> samples SNB_GUARDED_BY(mu);
-    void Add(Sample s) SNB_EXCLUDES(mu) {
-      util::MutexLock lock(mu);
-      samples.push_back(std::move(s));
-    }
-    std::vector<Sample> Take() SNB_EXCLUDES(mu) {
-      util::MutexLock lock(mu);
-      return std::move(samples);
-    }
-  };
-  SampleSink sink;
-  const Clock::time_point t0 = Clock::now();
-
-  auto submit = [&](const std::string& op, auto&& bindings, auto&& query) {
-    size_t n = std::min(bindings_per_query, bindings.size());
-    for (size_t i = 0; i < n; ++i) {
-      pool.Submit([&, op, i] {
-        double start = MsSince(t0);
-        size_t rows = query(graph, bindings[i]).size();
-        double latency = MsSince(t0) - start;
-        sink.Add({op, latency, rows});
-      });
-    }
-  };
-
-  submit("BI 1", params.bi1, bi::RunBi1);
-  submit("BI 2", params.bi2, bi::RunBi2);
-  submit("BI 3", params.bi3, bi::RunBi3);
-  submit("BI 4", params.bi4, bi::RunBi4);
-  submit("BI 5", params.bi5, bi::RunBi5);
-  submit("BI 6", params.bi6, bi::RunBi6);
-  submit("BI 7", params.bi7, bi::RunBi7);
-  submit("BI 8", params.bi8, bi::RunBi8);
-  submit("BI 9", params.bi9, bi::RunBi9);
-  submit("BI 10", params.bi10, bi::RunBi10);
-  submit("BI 11", params.bi11, bi::RunBi11);
-  submit("BI 12", params.bi12, bi::RunBi12);
-  submit("BI 13", params.bi13, bi::RunBi13);
-  submit("BI 14", params.bi14, bi::RunBi14);
-  submit("BI 15", params.bi15, bi::RunBi15);
-  submit("BI 16", params.bi16, bi::RunBi16);
-  submit("BI 17", params.bi17, bi::RunBi17);
-  submit("BI 18", params.bi18, bi::RunBi18);
-  submit("BI 19", params.bi19, bi::RunBi19);
-  submit("BI 20", params.bi20, bi::RunBi20);
-  submit("BI 21", params.bi21, bi::RunBi21);
-  submit("BI 22", params.bi22, bi::RunBi22);
-  submit("BI 23", params.bi23, bi::RunBi23);
-  submit("BI 24", params.bi24, bi::RunBi24);
-  submit("BI 25", params.bi25, bi::RunBi25);
-  pool.Wait();
-
-  for (const Sample& s : sink.Take()) {
-    report.per_operation[s.op].Record(s.latency_ms);
-    report.results_log.push_back({s.op, 0.0, 0.0, s.latency_ms, s.rows});
-    ++report.total_operations;
-  }
-  report.wall_seconds = MsSince(t0) / 1000.0;
-  report.throughput_ops_per_sec =
-      report.wall_seconds == 0
-          ? 0
-          : static_cast<double>(report.total_operations) / report.wall_seconds;
-  return report;
-}
-
-
 DriverReport RunBiWorkloadMultiStream(
     const storage::Graph& graph, const params::WorkloadParameters& params,
     size_t bindings_per_query, const DriverConfig& config) {
@@ -590,7 +509,8 @@ DriverReport RunBiReadWriteWorkload(
     auto dispatch = [&](auto&& bindings, auto&& query) {
       if (bindings.empty()) return;
       recorder.Run(op, 0.0, t0, [&] {
-        return query(graph, bindings[cursor[q]++ % bindings.size()]).size();
+        const auto& binding = bindings[cursor[q]++ % bindings.size()];
+        return bi::RunSequential(query, graph, binding).size();
       });
     };
     switch (q + 1) {

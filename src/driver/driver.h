@@ -26,7 +26,6 @@
 #include "sched/scheduler.h"
 #include "storage/graph.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace snb::driver {
 
@@ -154,15 +153,6 @@ DriverReport RunBiReadWriteWorkload(storage::Graph& graph,
                                     const params::WorkloadParameters& params,
                                     size_t updates_per_read,
                                     size_t max_updates = 0);
-
-/// Runs the BI stream with inter-query parallelism: every (query, binding)
-/// pair becomes a pool task over the read-only graph (CP-6.1 territory:
-/// concurrent analytic streams). Aggregated counts match the sequential
-/// run; wall time shrinks with cores.
-DriverReport RunBiWorkloadParallel(const storage::Graph& graph,
-                                   const params::WorkloadParameters& params,
-                                   size_t bindings_per_query,
-                                   util::ThreadPool& pool);
 
 /// Runs `config.bi_streams` concurrent BI query streams through the
 /// sched:: scheduler (the paper's throughput run): each stream is a permuted

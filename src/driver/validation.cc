@@ -19,7 +19,8 @@ ValidationReport ValidateBiImplementations(
     bool mismatch = false;
     for (size_t i = 0; i < n; ++i) {
       ++report.bindings_checked;
-      if (optimized(graph, bindings[i]) != naive_fn(graph, bindings[i])) {
+      if (bi::RunSequential(optimized, graph, bindings[i]) !=
+          naive_fn(graph, bindings[i])) {
         mismatch = true;
       }
     }

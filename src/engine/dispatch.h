@@ -1,7 +1,7 @@
 // Adaptive sequential-vs-morsel dispatch.
 //
-// bench/BENCH_parallel.json showed morsel parallelism *losing* on several
-// BI queries (BI 17 ≈ 0.2×): fan-out costs two pool handoffs plus a join
+// Sequential-vs-morsel timings of the BI kernels showed morsel parallelism
+// *losing* on several BI queries (BI 17 ≈ 0.2×): fan-out costs two pool handoffs plus a join
 // per helper, and a query whose candidate set is a few morsels never
 // amortizes that. The scheduler used to gate parallelism with one blanket
 // flag; this model replaces it with a per-query decision.

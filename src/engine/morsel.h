@@ -106,22 +106,6 @@ void ParallelAggregate(util::ThreadPool& pool, size_t n, Init&& init,
   }
 }
 
-/// Stateless parallel scan over [0, n): body(begin, end) per morsel. The
-/// body must only perform writes that are disjoint across morsels (e.g.
-/// filling element i of a shared column).
-template <typename Body>
-void ParallelScan(util::ThreadPool& pool, size_t n, Body&& body,
-                  size_t morsel_size = kDefaultMorselSize) {
-  if (n == 0) return;
-  const size_t num_morsels = (n + morsel_size - 1) / morsel_size;
-  const size_t slots = internal::SlotsFor(pool, num_morsels);
-  internal::RunMorsels(pool, num_morsels, slots,
-                       [&](size_t morsel, size_t) {
-                         const size_t begin = morsel * morsel_size;
-                         body(begin, std::min(n, begin + morsel_size));
-                       });
-}
-
 }  // namespace snb::engine
 
 #endif  // SNB_ENGINE_MORSEL_H_

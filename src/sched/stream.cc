@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "bi/bi.h"
-#include "bi/parallel.h"
 #include "engine/morsel.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -119,27 +118,27 @@ OpOutcome ExecuteStreamOp(const storage::Graph& graph,
   bi::ScopedCancelToken scoped(token);
   bool considered = false;
   engine::DispatchDecision decision;
-  // Sequential-or-morsel dispatch: run(g, b) picks the parallel variant iff
-  // an intra-query pool was supplied and — when a cost model arbitrates —
-  // the predicted speedup clears its margin. `estimate(g, b)` prices the
-  // query's scan from zone-map candidate counts (already maintained by the
-  // index, so pricing is ~free); `morsel_size` is the variant's actual
-  // morsel size, which the model reads as per-element weight. Results are
-  // bit-identical whichever engine runs.
-  auto seq_or_par = [&](auto estimate, size_t morsel_size, auto seq,
-                        auto par) {
-    return [&, estimate, morsel_size, seq, par](const storage::Graph& g,
-                                                const auto& b) {
-      if (!intra_pool) return seq(g, b);
+  // Sequential-or-morsel dispatch: run(g, b) hands the kernel the intra-query
+  // pool iff one was supplied and — when a cost model arbitrates — the
+  // predicted speedup clears its margin; without it the same kernel runs
+  // inline on one slot. `estimate(g, b)` prices the query's scan from
+  // zone-map candidate counts (already maintained by the index, so pricing
+  // is ~free); `morsel_size` is the kernel's actual morsel size, which the
+  // model reads as per-element weight. Results are bit-identical either way.
+  auto seq_or_par = [&](auto estimate, size_t morsel_size, auto kernel) {
+    return [&, estimate, morsel_size, kernel](const storage::Graph& g,
+                                              const auto& b) {
+      if (!intra_pool) return kernel(g, b, nullptr);
       considered = true;
       if (!dispatch) {  // unconditional policy: always fan out
         decision = {op.query, 0, 0, 0.0, engine::DispatchChoice::kMorsel};
-        return par(g, b, *intra_pool);
+      } else {
+        decision = dispatch->Decide(op.query, estimate(g, b), morsel_size);
       }
-      decision = dispatch->Decide(op.query, estimate(g, b), morsel_size);
-      return decision.choice == engine::DispatchChoice::kMorsel
-                 ? par(g, b, *intra_pool)
-                 : seq(g, b);
+      return kernel(g, b,
+                    decision.choice == engine::DispatchChoice::kMorsel
+                        ? intra_pool
+                        : nullptr);
     };
   };
   // Scan-size estimators for the morsel-capable templates.
@@ -161,8 +160,7 @@ OpOutcome ExecuteStreamOp(const storage::Graph& graph,
                                    storage::kMinMessageDate,
                                    core::DateTimeFromDate(b.date));
                              },
-                             engine::kDefaultMorselSize, bi::RunBi1,
-                             bi::parallel::RunBi1),
+                             engine::kDefaultMorselSize, bi::RunBi1),
                          [](Hasher& h, const bi::Bi1Row& r) {
                            AddFields(h, r.year, r.is_comment,
                                      r.length_category, r.message_count,
@@ -187,8 +185,7 @@ OpOutcome ExecuteStreamOp(const storage::Graph& graph,
                                }
                                return n;
                              },
-                             /*morsel_size=*/256, bi::RunBi2,
-                             bi::parallel::RunBi2),
+                             /*morsel_size=*/256, bi::RunBi2),
                          [](Hasher& h, const bi::Bi2Row& r) {
                            AddFields(h, r.country, r.month, r.gender,
                                      r.age_group, r.tag, r.message_count);
@@ -208,8 +205,7 @@ OpOutcome ExecuteStreamOp(const storage::Graph& graph,
                                    core::DateTimeFromCivil(b.year, b.month, 1),
                                    core::DateTimeFromCivil(y, m, 1));
                              },
-                             engine::kDefaultMorselSize, bi::RunBi3,
-                             bi::parallel::RunBi3),
+                             engine::kDefaultMorselSize, bi::RunBi3),
                          [](Hasher& h, const bi::Bi3Row& r) {
                            AddFields(h, r.tag, r.count_month1, r.count_month2,
                                      r.diff);
@@ -240,8 +236,7 @@ OpOutcome ExecuteStreamOp(const storage::Graph& graph,
                                return g.TagPosts().Degree(tag) +
                                       g.TagComments().Degree(tag);
                              },
-                             /*morsel_size=*/1024, bi::RunBi6,
-                             bi::parallel::RunBi6),
+                             /*morsel_size=*/1024, bi::RunBi6),
                          [](Hasher& h, const bi::Bi6Row& r) {
                            AddFields(h, r.person_id, r.reply_count,
                                      r.like_count, r.message_count, r.score);
@@ -288,8 +283,7 @@ OpOutcome ExecuteStreamOp(const storage::Graph& graph,
                                        core::kMillisPerDay,
                                    storage::kMaxMessageDate);
                              },
-                             engine::kDefaultMorselSize, bi::RunBi12,
-                             bi::parallel::RunBi12),
+                             engine::kDefaultMorselSize, bi::RunBi12),
                          [](Hasher& h, const bi::Bi12Row& r) {
                            AddFields(h, r.message_id, r.creation_date,
                                      r.creator_first_name,
@@ -299,7 +293,7 @@ OpOutcome ExecuteStreamOp(const storage::Graph& graph,
       case 13:
         out = RunAndHash(graph, params.bi13, op.binding,
                          seq_or_par(all_messages, engine::kDefaultMorselSize,
-                                    bi::RunBi13, bi::parallel::RunBi13),
+                                    bi::RunBi13),
                          [](Hasher& h, const bi::Bi13Row& r) {
                            AddFields(h, r.year, r.month, r.popular_tags);
                          });
@@ -314,8 +308,7 @@ OpOutcome ExecuteStreamOp(const storage::Graph& graph,
                                    core::DateTimeFromDate(b.end) +
                                        core::kMillisPerDay);
                              },
-                             engine::kDefaultMorselSize, bi::RunBi14,
-                             bi::parallel::RunBi14),
+                             engine::kDefaultMorselSize, bi::RunBi14),
                          [](Hasher& h, const bi::Bi14Row& r) {
                            AddFields(h, r.person_id, r.first_name, r.last_name,
                                      r.thread_count, r.message_count);
@@ -340,8 +333,7 @@ OpOutcome ExecuteStreamOp(const storage::Graph& graph,
                                 const bi::Bi17Params&) {
                                return g.NumPersons();
                              },
-                             /*morsel_size=*/256, bi::RunBi17,
-                             bi::parallel::RunBi17),
+                             /*morsel_size=*/256, bi::RunBi17),
                          [](Hasher& h, const bi::Bi17Row& r) {
                            AddFields(h, r.count);
                          });
@@ -362,7 +354,7 @@ OpOutcome ExecuteStreamOp(const storage::Graph& graph,
       case 20:
         out = RunAndHash(graph, params.bi20, op.binding,
                          seq_or_par(all_messages, engine::kDefaultMorselSize,
-                                    bi::RunBi20, bi::parallel::RunBi20),
+                                    bi::RunBi20),
                          [](Hasher& h, const bi::Bi20Row& r) {
                            AddFields(h, r.tag_class, r.message_count);
                          });
@@ -384,7 +376,7 @@ OpOutcome ExecuteStreamOp(const storage::Graph& graph,
       case 23:
         out = RunAndHash(graph, params.bi23, op.binding,
                          seq_or_par(all_messages, engine::kDefaultMorselSize,
-                                    bi::RunBi23, bi::parallel::RunBi23),
+                                    bi::RunBi23),
                          [](Hasher& h, const bi::Bi23Row& r) {
                            AddFields(h, r.message_count, r.destination,
                                      r.month);
@@ -393,7 +385,7 @@ OpOutcome ExecuteStreamOp(const storage::Graph& graph,
       case 24:
         out = RunAndHash(graph, params.bi24, op.binding,
                          seq_or_par(all_messages, engine::kDefaultMorselSize,
-                                    bi::RunBi24, bi::parallel::RunBi24),
+                                    bi::RunBi24),
                          [](Hasher& h, const bi::Bi24Row& r) {
                            AddFields(h, r.message_count, r.like_count, r.year,
                                      r.month, r.continent);

@@ -52,9 +52,9 @@ struct OpOutcome {
   uint64_t fingerprint = 0;
   double latency_ms = 0;
   bool cancelled = false;
-  /// Set when an intra-query pool was offered and the template has a morsel
-  /// variant: the cost-model verdict that picked the engine (always kMorsel
-  /// when no model was supplied — the unconditional policy).
+  /// Set when an intra-query pool was offered and the template is a morsel
+  /// kernel: the cost-model verdict on fanning out (always kMorsel when no
+  /// model was supplied — the unconditional policy).
   bool dispatch_considered = false;
   engine::DispatchDecision dispatch;
 };
@@ -65,15 +65,16 @@ struct OpOutcome {
 /// cancelled = true with rows = 0. latency_ms is left 0 (the scheduler
 /// owns timing).
 ///
-/// When `intra_pool` is non-null, the scan-dominated templates with a
-/// morsel-parallel variant (BI 1, 2, 3, 6, 12, 13, 14, 17, 20, 23, 24)
-/// may run on that pool; the rest always run sequentially. The scheduler
-/// passes the pool only for power runs (a single stream), never for
-/// throughput runs — the calling thread participates in the morsel loop,
-/// so the pool is never oversubscribed either way. When `dispatch` is also
-/// non-null, its cost model arbitrates per query: the morsel variant runs
-/// only when the predicted speedup clears the model's margin (CP-1.2 work
-/// sizing); a null model means fan out unconditionally.
+/// When `intra_pool` is non-null, the scan-dominated templates written as
+/// morsel kernels (BI 1, 2, 3, 6, 12, 13, 14, 17, 20, 23, 24) may fan out
+/// over that pool; the rest always run sequentially. The scheduler passes
+/// the pool only for power runs (a single stream), never for throughput
+/// runs — the calling thread participates in the morsel loop, so the pool
+/// is never oversubscribed either way. When `dispatch` is also non-null,
+/// its cost model arbitrates per query: the kernel fans out only when the
+/// predicted speedup clears the model's margin and otherwise runs inline
+/// on one slot (CP-1.2 work sizing); a null model means fan out
+/// unconditionally.
 OpOutcome ExecuteStreamOp(const storage::Graph& graph,
                           const params::WorkloadParameters& params,
                           const StreamOp& op, const bi::CancelToken* token,

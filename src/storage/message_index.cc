@@ -1,6 +1,7 @@
 #include "storage/message_index.h"
 
 #include <numeric>
+#include <tuple>
 
 namespace snb::storage {
 
@@ -34,6 +35,25 @@ void MessageDateIndex::Build(const std::vector<core::DateTime>& post_dates,
   std::vector<uint64_t> keys(n);
   for (size_t i = 0; i < n; ++i) keys[i] = DateKey(date_of(base_refs_[i]));
   base_dates_ = columnar::ZonedColumn::BuildDelta(keys);
+}
+
+MessageDateIndex::Window MessageDateIndex::Resolve(core::DateTime start,
+                                                  core::DateTime end) const {
+  Window w;
+  w.start = start;
+  w.end = end;
+  std::tie(w.base_lo, w.base_hi) = BaseRange(start, end);
+  CountBlocksSkippedDate(base_dates_.num_blocks() -
+                         TouchedBlocks(w.base_lo, w.base_hi));
+  for (size_t b = 0; b < tail_zones_.size(); ++b) {
+    const Zone& z = tail_zones_[b];
+    if (z.max < start || z.min >= end) {
+      CountBlocksSkippedDate(1);
+    } else {
+      w.tail_blocks.push_back(static_cast<uint32_t>(b));
+    }
+  }
+  return w;
 }
 
 void MessageDateIndex::Append(uint32_t msg, core::DateTime date) {

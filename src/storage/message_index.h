@@ -8,8 +8,8 @@
 // dates have tiny deltas, so the 8 B/entry seed column compresses ~8×, and
 // a date window reduces to a zone-searched block plus an in-block scan.
 // Refs stay a plain uint32 array: the comment bit (bit 31) scatters them
-// across the full 32-bit range, so packing would buy nothing, and
-// MessageRangeView random-probes them from every morsel worker.
+// across the full 32-bit range, so packing would buy nothing, and morsel
+// workers scan disjoint slices of them in parallel.
 //
 // Messages appended later by the update workload (IU 6/7) land in an
 // *unsorted tail* in arrival order — appends never reshuffle the base, so
@@ -164,35 +164,45 @@ class MessageDateIndex {
   /// The compressed base-date column (block-zone validation, accounting).
   const columnar::ZonedColumn& BaseDateColumn() const { return base_dates_; }
 
-  /// Visits every base entry with creation date in [start, end) in date
-  /// order, counting the zone-searched date pruning into the ambient
-  /// ScanStats sink (blocks the window never touches count as date skips).
-  template <typename F>
-  void ForEachBaseInRange(core::DateTime start, core::DateTime end,
-                          F&& f) const {
-    auto [lo, hi] = BaseRange(start, end);
-    CountBlocksSkippedDate(base_dates_.num_blocks() - TouchedBlocks(lo, hi));
-    CountRowsDecoded(hi - lo);
-    for (size_t i = lo; i < hi; ++i) f(base_refs_[i]);
-  }
+  /// A window [start, end) resolved into scan units: positions
+  /// [base_lo, base_hi) of the sorted base, one unit each, then one unit per
+  /// tail block whose date zone overlaps the window. Disjoint unit ranges
+  /// partition the window's scan, so one ScanWindow over [0, size()) is the
+  /// sequential range scan and sub-ranges split it across morsel executors.
+  struct Window {
+    core::DateTime start = kMinMessageDate;
+    core::DateTime end = kMinMessageDate;
+    size_t base_lo = 0;
+    size_t base_hi = 0;
+    std::vector<uint32_t> tail_blocks;
 
-  /// Bound-pushdown base scan: like ForEachBaseInRange, but each surviving
-  /// 1024-entry block is first offered to `skip(block_max_likes)` — a true
-  /// return prunes the whole block before any ref is decoded (CP-1.3 over
-  /// the CP-2.2/2.3 zones). `skip` must be monotone in its argument (a
-  /// block max that fails implies every member fails).
-  // Single-writer/multi-reader contract: unlocked zone read by design.
+    size_t size() const { return base_hi - base_lo + tail_blocks.size(); }
+  };
+
+  /// Resolves [start, end) into a Window, counting the zone-searched date
+  /// pruning into the ambient ScanStats sink: base blocks the window never
+  /// touches and tail blocks whose zone map misses it count as date skips.
+  // Single-writer/multi-reader contract: unlocked tail-zone read by design.
+  Window Resolve(core::DateTime start, core::DateTime end) const
+      SNB_NO_THREAD_SAFETY_ANALYSIS;
+
+  /// Visits the messages of units [begin, end) of `w`: base units in date
+  /// order, tail units filtered per entry in arrival order. Bound pushdown
+  /// (CP-1.3 over the CP-2.2/2.3 zones): each base 1024-block and each tail
+  /// block is first offered to `skip(block_max_likes)` — a true return prunes
+  /// it before any ref is decoded. `skip` must be monotone in its argument
+  /// (a block max that fails implies every member fails).
+  // Single-writer/multi-reader contract: unlocked zone and tail reads by
+  // design.
   template <typename SkipFn, typename F>
-  void ForEachBaseInRangeBounded(core::DateTime start, core::DateTime end,
-                                 SkipFn&& skip, F&& f) const
-      SNB_NO_THREAD_SAFETY_ANALYSIS {
+  void ScanWindow(const Window& w, size_t begin, size_t end, SkipFn&& skip,
+                  F&& f) const SNB_NO_THREAD_SAFETY_ANALYSIS {
     const size_t kBlock = columnar::ColumnBlock::kMaxValues;
-    auto [lo, hi] = BaseRange(start, end);
-    CountBlocksSkippedDate(base_dates_.num_blocks() - TouchedBlocks(lo, hi));
-    size_t i = lo;
-    while (i < hi) {
+    const size_t base_count = w.base_hi - w.base_lo;
+    const size_t base_end = w.base_lo + std::min(end, base_count);
+    for (size_t i = w.base_lo + std::min(begin, base_count); i < base_end;) {
       const size_t b = i / kBlock;
-      const size_t block_end = std::min(hi, (b + 1) * kBlock);
+      const size_t block_end = std::min(base_end, (b + 1) * kBlock);
       if (skip(static_cast<int64_t>(base_like_max_[b]))) {
         CountBlocksSkippedBound(1);
         i = block_end;
@@ -200,6 +210,21 @@ class MessageDateIndex {
       }
       CountRowsDecoded(block_end - i);
       for (; i < block_end; ++i) f(base_refs_[i]);
+    }
+    for (size_t u = std::max(begin, base_count); u < end; ++u) {
+      const size_t b = w.tail_blocks[u - base_count];
+      if (skip(static_cast<int64_t>(tail_zones_[b].max_likes))) {
+        CountBlocksSkippedBound(1);
+        continue;
+      }
+      const size_t lo = b * kTailBlock;
+      const size_t hi = std::min(lo + kTailBlock, tail_refs_.size());
+      CountRowsDecoded(hi - lo);
+      for (size_t i = lo; i < hi; ++i) {
+        if (tail_dates_[i] >= w.start && tail_dates_[i] < w.end) {
+          f(tail_refs_[i]);
+        }
+      }
     }
   }
 
@@ -218,54 +243,6 @@ class MessageDateIndex {
   }
   Zone TailZoneAt(size_t block) const SNB_NO_THREAD_SAFETY_ANALYSIS {
     return tail_zones_[block];
-  }
-
-  /// Visits every tail message with creation date in [start, end): blocks
-  /// whose zone map misses the window are skipped whole; survivors are
-  /// filtered per entry.
-  // Single-writer/multi-reader contract: unlocked tail scan by design.
-  template <typename F>
-  void ForEachTailInRange(core::DateTime start, core::DateTime end,
-                          F&& f) const SNB_NO_THREAD_SAFETY_ANALYSIS {
-    for (size_t b = 0; b < tail_zones_.size(); ++b) {
-      const Zone& z = tail_zones_[b];
-      if (z.max < start || z.min >= end) {
-        CountBlocksSkippedDate(1);
-        continue;
-      }
-      const size_t lo = b * kTailBlock;
-      const size_t hi = std::min(lo + kTailBlock, tail_refs_.size());
-      CountRowsDecoded(hi - lo);
-      for (size_t i = lo; i < hi; ++i) {
-        if (tail_dates_[i] >= start && tail_dates_[i] < end) f(tail_refs_[i]);
-      }
-    }
-  }
-
-  /// Bound-pushdown tail scan: ForEachTailInRange plus a like-count zone
-  /// check per surviving block (same `skip` contract as the base variant).
-  // Single-writer/multi-reader contract: unlocked tail scan by design.
-  template <typename SkipFn, typename F>
-  void ForEachTailInRangeBounded(core::DateTime start, core::DateTime end,
-                                 SkipFn&& skip, F&& f) const
-      SNB_NO_THREAD_SAFETY_ANALYSIS {
-    for (size_t b = 0; b < tail_zones_.size(); ++b) {
-      const Zone& z = tail_zones_[b];
-      if (z.max < start || z.min >= end) {
-        CountBlocksSkippedDate(1);
-        continue;
-      }
-      if (skip(static_cast<int64_t>(z.max_likes))) {
-        CountBlocksSkippedBound(1);
-        continue;
-      }
-      const size_t lo = b * kTailBlock;
-      const size_t hi = std::min(lo + kTailBlock, tail_refs_.size());
-      CountRowsDecoded(hi - lo);
-      for (size_t i = lo; i < hi; ++i) {
-        if (tail_dates_[i] >= start && tail_dates_[i] < end) f(tail_refs_[i]);
-      }
-    }
   }
 
   /// Number of index entries a range scan must examine: the base slice plus

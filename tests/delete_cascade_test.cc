@@ -4,10 +4,11 @@
 //     person, their messages, every reply under a dead message, incident
 //     edges) and nothing else, and the tombstoned graph passes the
 //     tombstone-* validator invariants;
-//   - a delete-heavy refresh publishes a graph whose BI 1/6/12 results are
-//     bit-identical to loading the post-delete dataset from scratch, under
-//     1/2/4/8-thread pools, and identical whether the published snapshot is
-//     compacted or still carries tombstones (scan-path bit-identity);
+//   - a delete-heavy refresh publishes a graph whose BI 1/6/12/13/20/23/24
+//     results are bit-identical to loading the post-delete dataset from
+//     scratch, inline and fanned out over 1/2/4/8-thread pools, and
+//     identical whether the published snapshot is compacted or still
+//     carries tombstones (scan-path bit-identity);
 //   - a torn cascade (fail-point mid-stage) returns non-OK, leaves the
 //     tombstone epoch unbumped, and the torn graph is *detectable* — the
 //     new validator invariants name the damage;
@@ -31,11 +32,11 @@
 #include <vector>
 
 #include "bi/bi.h"
-#include "bi/parallel.h"
 #include "core/date_time.h"
 #include "datagen/datagen.h"
 #include "datagen/delete_stream.h"
 #include "datagen/serializer.h"
+#include "engine/morsel.h"
 #include "driver/refresh.h"
 #include "interactive/updates.h"
 #include "storage/export.h"
@@ -95,6 +96,10 @@ struct BiProbeResults {
   std::vector<bi::Bi1Row> bi1;
   std::vector<bi::Bi6Row> bi6;
   std::vector<bi::Bi12Row> bi12;
+  std::vector<bi::Bi13Row> bi13;
+  std::vector<bi::Bi20Row> bi20;
+  std::vector<bi::Bi23Row> bi23;
+  std::vector<bi::Bi24Row> bi24;
 
   bool operator==(const BiProbeResults&) const = default;
 };
@@ -114,15 +119,50 @@ bi::Bi12Params Probe12() {
   return p;
 }
 
-BiProbeResults RunProbes(const Graph& graph) {
-  return {bi::RunBi1(graph, Probe1()), bi::RunBi6(graph, Probe6()),
-          bi::RunBi12(graph, Probe12())};
+/// Name of the fixture place with external id `id`.
+std::string PlaceName(core::Id id) {
+  for (const core::Place& place : Fixture().network.places) {
+    if (place.id == id) return place.name;
+  }
+  return {};
 }
 
-BiProbeResults RunProbes(const Graph& graph, util::ThreadPool& pool) {
-  return {bi::parallel::RunBi1(graph, Probe1(), pool),
-          bi::parallel::RunBi6(graph, Probe6(), pool),
-          bi::parallel::RunBi12(graph, Probe12(), pool)};
+/// Name of the fixture tag class with external id `id`.
+std::string TagClassName(core::Id id) {
+  for (const core::TagClass& tc : Fixture().network.tag_classes) {
+    if (tc.id == id) return tc.name;
+  }
+  return {};
+}
+
+/// The full-message-scan probes (BI 13/20/23/24) key on the first post's
+/// country and its first tag's class, so they aggregate real rows.
+bi::Bi13Params Probe13() {
+  return {PlaceName(Fixture().network.posts.front().country)};
+}
+
+bi::Bi20Params Probe20() {
+  const core::SocialNetwork& net = Fixture().network;
+  return {{TagClassName(net.tags.front().tag_class),
+           net.tag_classes.front().name, net.tag_classes.back().name}};
+}
+
+bi::Bi23Params Probe23() { return {Probe13().country}; }
+
+bi::Bi24Params Probe24() {
+  return {TagClassName(Fixture().network.tags.front().tag_class)};
+}
+
+/// Runs every probe inline (no pool) or fanned out over `pool`.
+BiProbeResults RunProbes(const Graph& graph,
+                         util::ThreadPool* pool = nullptr) {
+  return {bi::RunBi1(graph, Probe1(), pool),
+          bi::RunBi6(graph, Probe6(), pool),
+          bi::RunBi12(graph, Probe12(), pool),
+          bi::RunBi13(graph, Probe13(), pool),
+          bi::RunBi20(graph, Probe20(), pool),
+          bi::RunBi23(graph, Probe23(), pool),
+          bi::RunBi24(graph, Probe24(), pool)};
 }
 
 std::string FreshDir(const std::string& name) {
@@ -212,16 +252,22 @@ TEST_F(DeleteCascadeTest, BiResultsMatchFromScratchLoadAcrossPools) {
   ASSERT_FALSE(oracle.HasTombstones());
 
   const BiProbeResults expected = RunProbes(oracle);
+  ASSERT_FALSE(expected.bi13.empty());
+  ASSERT_FALSE(expected.bi24.empty());
   EXPECT_EQ(RunProbes(tombstoned), expected)
       << "tombstone-filtered scans diverge from a clean load";
 
+  // The fixture is far below the morsel fan-out floor; drop it so every
+  // pooled probe really partitions its scan across executors.
+  engine::internal::GlobalMorselTuning().min_morsels_for_fanout = 1;
   for (size_t threads : {1u, 2u, 4u, 8u}) {
     util::ThreadPool pool(threads);
-    EXPECT_EQ(RunProbes(tombstoned, pool), expected)
+    EXPECT_EQ(RunProbes(tombstoned, &pool), expected)
         << "tombstoned graph, " << threads << " threads";
-    EXPECT_EQ(RunProbes(oracle, pool), expected)
+    EXPECT_EQ(RunProbes(oracle, &pool), expected)
         << "oracle graph, " << threads << " threads";
   }
+  engine::internal::GlobalMorselTuning() = engine::internal::MorselTuning{};
 }
 
 // ---------------------------------------------------------------------------

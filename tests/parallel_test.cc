@@ -1,8 +1,9 @@
-// Tests for the parallel execution paths: every morsel-parallel query
-// variant (CP-1.2) must be bit-identical to the sequential engine AND the
-// naive engine at every pool size; the creation-date index must visit
-// exactly the messages a filtered full scan visits, including messages
-// appended to the unsorted tail by updates; cancellation must surface from
+// Tests for the parallel execution paths: every morsel kernel (CP-1.2) run
+// on a pool must be bit-identical to the same kernel run inline (the
+// sequential engine) AND to the naive engine at every pool size; the
+// creation-date index must visit exactly the messages a filtered full scan
+// visits, including messages appended to the unsorted tail by updates, and
+// its scan units must partition that set; cancellation must surface from
 // inside a morsel loop without wedging the pool.
 
 #include <gtest/gtest.h>
@@ -13,9 +14,7 @@
 #include "bi/bi.h"
 #include "bi/cancel.h"
 #include "bi/naive.h"
-#include "bi/parallel.h"
 #include "datagen/datagen.h"
-#include "driver/driver.h"
 #include "engine/morsel.h"
 #include "params/parameter_curation.h"
 #include "storage/graph.h"
@@ -54,20 +53,19 @@ class ParallelFixture : public ::testing::Test {
   static util::ThreadPool& pool() { return *pool_; }
 
   /// Cross-validates one query template: for every curated binding the
-  /// naive engine and the morsel-parallel variant at 1/2/4/8 threads must
-  /// all return exactly the sequential engine's rows.
-  template <typename Bindings, typename SeqFn, typename NaiveFn,
-            typename ParFn>
+  /// naive engine and the kernel fanned out at 1/2/4/8 threads must all
+  /// return exactly the rows of the kernel run inline.
+  template <typename Bindings, typename RunFn, typename NaiveFn>
   static void CheckQuery(const char* name, const Bindings& bindings,
-                         SeqFn seq, NaiveFn naive, ParFn par) {
+                         RunFn run, NaiveFn naive) {
     util::ThreadPool pools[] = {util::ThreadPool(1), util::ThreadPool(2),
                                 util::ThreadPool(4), util::ThreadPool(8)};
     ASSERT_FALSE(bindings.empty()) << name;
     for (const auto& p : bindings) {
-      const auto expected = seq(graph(), p);
+      const auto expected = run(graph(), p, nullptr);
       EXPECT_EQ(naive(graph(), p), expected) << name << " (naive)";
       for (util::ThreadPool& tp : pools) {
-        EXPECT_EQ(par(graph(), p, tp), expected)
+        EXPECT_EQ(run(graph(), p, &tp), expected)
             << name << " threads=" << tp.num_threads();
       }
     }
@@ -84,72 +82,60 @@ params::WorkloadParameters* ParallelFixture::params_ = nullptr;
 util::ThreadPool* ParallelFixture::pool_ = nullptr;
 
 TEST_F(ParallelFixture, Bi1MatchesSequentialAndNaive) {
-  CheckQuery("BI 1", params().bi1, bi::RunBi1, bi::naive::RunBi1,
-             bi::parallel::RunBi1);
+  CheckQuery("BI 1", params().bi1, bi::RunBi1, bi::naive::RunBi1);
   // Degenerate date (nothing qualifies) must also agree.
   bi::Bi1Params empty{core::DateFromCivil(2009, 1, 1)};
-  EXPECT_EQ(bi::parallel::RunBi1(graph(), empty, pool()),
+  EXPECT_EQ(bi::RunBi1(graph(), empty, &pool()),
             bi::RunBi1(graph(), empty));
 }
 
 TEST_F(ParallelFixture, Bi2MatchesSequentialAndNaive) {
-  CheckQuery("BI 2", params().bi2, bi::RunBi2, bi::naive::RunBi2,
-             bi::parallel::RunBi2);
+  CheckQuery("BI 2", params().bi2, bi::RunBi2, bi::naive::RunBi2);
 }
 
 TEST_F(ParallelFixture, Bi3MatchesSequentialAndNaive) {
-  CheckQuery("BI 3", params().bi3, bi::RunBi3, bi::naive::RunBi3,
-             bi::parallel::RunBi3);
+  CheckQuery("BI 3", params().bi3, bi::RunBi3, bi::naive::RunBi3);
 }
 
 TEST_F(ParallelFixture, Bi6MatchesSequentialAndNaive) {
-  CheckQuery("BI 6", params().bi6, bi::RunBi6, bi::naive::RunBi6,
-             bi::parallel::RunBi6);
+  CheckQuery("BI 6", params().bi6, bi::RunBi6, bi::naive::RunBi6);
 }
 
 TEST_F(ParallelFixture, Bi12MatchesSequentialAndNaive) {
-  CheckQuery("BI 12", params().bi12, bi::RunBi12, bi::naive::RunBi12,
-             bi::parallel::RunBi12);
+  CheckQuery("BI 12", params().bi12, bi::RunBi12, bi::naive::RunBi12);
 }
 
 TEST_F(ParallelFixture, Bi13MatchesSequentialAndNaive) {
-  CheckQuery("BI 13", params().bi13, bi::RunBi13, bi::naive::RunBi13,
-             bi::parallel::RunBi13);
+  CheckQuery("BI 13", params().bi13, bi::RunBi13, bi::naive::RunBi13);
 }
 
 TEST_F(ParallelFixture, Bi14MatchesSequentialAndNaive) {
-  CheckQuery("BI 14", params().bi14, bi::RunBi14, bi::naive::RunBi14,
-             bi::parallel::RunBi14);
+  CheckQuery("BI 14", params().bi14, bi::RunBi14, bi::naive::RunBi14);
 }
 
 TEST_F(ParallelFixture, Bi17MatchesSequentialAndNaive) {
-  CheckQuery("BI 17", params().bi17, bi::RunBi17, bi::naive::RunBi17,
-             bi::parallel::RunBi17);
+  CheckQuery("BI 17", params().bi17, bi::RunBi17, bi::naive::RunBi17);
 }
 
 TEST_F(ParallelFixture, Bi20MatchesSequentialAndNaive) {
-  CheckQuery("BI 20", params().bi20, bi::RunBi20, bi::naive::RunBi20,
-             bi::parallel::RunBi20);
+  CheckQuery("BI 20", params().bi20, bi::RunBi20, bi::naive::RunBi20);
   bi::Bi20Params with_unknown{{"Thing", "NoSuchClass", "Person"}};
-  EXPECT_EQ(bi::parallel::RunBi20(graph(), with_unknown, pool()),
+  EXPECT_EQ(bi::RunBi20(graph(), with_unknown, &pool()),
             bi::RunBi20(graph(), with_unknown));
 }
 
 TEST_F(ParallelFixture, Bi23MatchesSequentialAndNaive) {
-  CheckQuery("BI 23", params().bi23, bi::RunBi23, bi::naive::RunBi23,
-             bi::parallel::RunBi23);
+  CheckQuery("BI 23", params().bi23, bi::RunBi23, bi::naive::RunBi23);
 }
 
 TEST_F(ParallelFixture, Bi24MatchesSequentialAndNaive) {
-  CheckQuery("BI 24", params().bi24, bi::RunBi24, bi::naive::RunBi24,
-             bi::parallel::RunBi24);
+  CheckQuery("BI 24", params().bi24, bi::RunBi24, bi::naive::RunBi24);
 }
 
 TEST_F(ParallelFixture, ParallelBi1DeterministicAcrossPoolSizes) {
   util::ThreadPool one(1), many(8);
   const bi::Bi1Params& p = params().bi1[0];
-  EXPECT_EQ(bi::parallel::RunBi1(graph(), p, one),
-            bi::parallel::RunBi1(graph(), p, many));
+  EXPECT_EQ(bi::RunBi1(graph(), p, &one), bi::RunBi1(graph(), p, &many));
 }
 
 TEST_F(ParallelFixture, CancelledTokenAbortsParallelQueryAndPoolSurvives) {
@@ -157,28 +143,14 @@ TEST_F(ParallelFixture, CancelledTokenAbortsParallelQueryAndPoolSurvives) {
   token.RequestStop();
   {
     bi::ScopedCancelToken scoped(&token);
-    EXPECT_THROW(bi::parallel::RunBi1(graph(), params().bi1[0], pool()),
+    EXPECT_THROW(bi::RunBi1(graph(), params().bi1[0], &pool()),
                  bi::QueryCancelled);
-    EXPECT_THROW(bi::parallel::RunBi20(graph(), params().bi20[0], pool()),
+    EXPECT_THROW(bi::RunBi20(graph(), params().bi20[0], &pool()),
                  bi::QueryCancelled);
   }
   // The abandoned morsels must not leave the pool wedged or poisoned.
-  EXPECT_EQ(bi::parallel::RunBi1(graph(), params().bi1[0], pool()),
+  EXPECT_EQ(bi::RunBi1(graph(), params().bi1[0], &pool()),
             bi::RunBi1(graph(), params().bi1[0]));
-}
-
-TEST_F(ParallelFixture, ParallelBiStreamRunsEveryOperation) {
-  driver::DriverReport sequential =
-      driver::RunBiWorkload(graph(), params(), 2);
-  driver::DriverReport parallel =
-      driver::RunBiWorkloadParallel(graph(), params(), 2, pool());
-  EXPECT_EQ(parallel.total_operations, sequential.total_operations);
-  ASSERT_EQ(parallel.per_operation.size(), sequential.per_operation.size());
-  for (const auto& [op, stats] : sequential.per_operation) {
-    ASSERT_TRUE(parallel.per_operation.contains(op)) << op;
-    EXPECT_EQ(parallel.per_operation.at(op).count, stats.count) << op;
-  }
-  EXPECT_EQ(parallel.results_log.size(), parallel.total_operations);
 }
 
 // ---- Creation-date index / zone-map pruning ------------------------------
@@ -233,14 +205,32 @@ TEST_F(MessageIndexFixture, RangeScanVisitsExactlyTheWindowMessages) {
   }
 }
 
-TEST_F(MessageIndexFixture, MessageRangeViewMatchesForEach) {
+TEST_F(MessageIndexFixture, MessageRangeUnitsPartitionTheWindow) {
   const core::DateTime start = core::DateTimeFromCivil(2010, 6, 1);
   const core::DateTime end = core::DateTimeFromCivil(2010, 9, 1);
-  storage::Graph::MessageRangeView view = graph().MessageRange(start, end);
-  std::vector<uint32_t> from_view;
-  for (size_t i = 0; i < view.size(); ++i) from_view.push_back(view[i]);
-  std::sort(from_view.begin(), from_view.end());
-  EXPECT_EQ(from_view, RangeScan(start, end));
+  const storage::Graph::MessageRangeView view =
+      graph().MessageRange(start, end);
+  // Odd-sized unit slices, as morsels would hand them out, must together
+  // visit exactly the window's messages once each.
+  std::vector<uint32_t> from_slices;
+  for (size_t i = 0; i < view.size(); i += 7) {
+    view.ForEach(i, std::min(view.size(), i + 7),
+                 [&](uint32_t msg) { from_slices.push_back(msg); });
+  }
+  std::sort(from_slices.begin(), from_slices.end());
+  EXPECT_EQ(from_slices, FilteredFullScan(start, end));
+}
+
+TEST_F(MessageIndexFixture, FlatMessageSlicesPartitionTheFullScan) {
+  std::vector<uint32_t> full, from_slices;
+  graph().ForEachMessage([&](uint32_t msg) { full.push_back(msg); });
+  const size_t n = graph().NumMessages();
+  for (size_t i = 0; i < n; i += 1000) {
+    graph().ForEachMessageIn(i, std::min(n, i + 1000), [&](uint32_t msg) {
+      from_slices.push_back(msg);
+    });
+  }
+  EXPECT_EQ(from_slices, full);
 }
 
 TEST_F(MessageIndexFixture, OneMonthWindowExaminesStrictlyFewerCandidates) {
@@ -282,7 +272,10 @@ TEST_F(MessageIndexFixture, AppendedMessagesLandInTheTailAndAreVisible) {
   const core::DateTime w1 = core::DateTimeFromCivil(2031, 1, 1);
   EXPECT_EQ(RangeScan(w0, w1).size(), 2u);
   EXPECT_EQ(RangeScan(w0, w1), FilteredFullScan(w0, w1));
-  EXPECT_EQ(graph().MessageRange(w0, w1).size(), 2u);
+  size_t in_view = 0;
+  const storage::Graph::MessageRangeView view = graph().MessageRange(w0, w1);
+  view.ForEach(0, view.size(), [&](uint32_t) { ++in_view; });
+  EXPECT_EQ(in_view, 2u);
   EXPECT_GE(graph().MessageIndex().CandidatesInRange(w0, w1), 2u);
   // A window before the appends never touches the tail block.
   EXPECT_EQ(RangeScan(core::DateTimeFromCivil(2010, 6, 1),
@@ -296,7 +289,7 @@ TEST_F(MessageIndexFixture, AppendedMessagesLandInTheTailAndAreVisible) {
   util::ThreadPool tp(4);
   const auto expected = bi::RunBi1(graph(), p);
   EXPECT_EQ(bi::naive::RunBi1(graph(), p), expected);
-  EXPECT_EQ(bi::parallel::RunBi1(graph(), p, tp), expected);
+  EXPECT_EQ(bi::RunBi1(graph(), p, &tp), expected);
 }
 
 }  // namespace
