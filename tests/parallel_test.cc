@@ -290,6 +290,13 @@ TEST_F(MessageIndexFixture, AppendedMessagesLandInTheTailAndAreVisible) {
   const auto expected = bi::RunBi1(graph(), p);
   EXPECT_EQ(bi::naive::RunBi1(graph(), p), expected);
   EXPECT_EQ(bi::RunBi1(graph(), p, &tp), expected);
+  // BI 12's bound-pruned scan of a window holding only the tail: both
+  // appended messages (no likes, threshold -1) come from the tail block.
+  bi::Bi12Params p12{core::DateFromCivil(2030, 1, 1), -1};
+  const auto expected12 = bi::naive::RunBi12(graph(), p12);
+  EXPECT_EQ(expected12.size(), 2u);
+  EXPECT_EQ(bi::RunBi12(graph(), p12), expected12);
+  EXPECT_EQ(bi::RunBi12(graph(), p12, &tp), expected12);
 }
 
 }  // namespace
