@@ -27,44 +27,31 @@ std::vector<Bi14Row> RunBi14(const Graph& graph, const Bi14Params& params,
     }
   };
 
-  // Both passes scan only the [begin, end) slice of the creation-date
-  // index (CP-2.2/2.3) instead of the full post/comment tables.
-  // Pass 1 — window posts: thread roots. A post contributes to its creator.
-  // Each post appears at most once in the range, so the bitmap writes are
-  // disjoint across morsels (uint8_t, not vector<bool>: no shared-word bit
-  // packing).
+  // One scan of the [begin, end) slice of the creation-date index
+  // (CP-2.2/2.3) instead of the full post/comment tables. A window post is
+  // a thread root: it credits its creator with a thread and a message. A
+  // window comment credits its thread's initiator when the root post
+  // (precomputed; CP-7.2/7.3 transitive replyOf* collapsed at load) is live
+  // and itself lies in the window.
   AggMap by_person;
-  std::vector<uint8_t> post_in_window(graph.NumPosts(), 0);
-  const Graph::MessageRangeView posts = graph.MessageRange(begin, end);
+  const Graph::MessageRangeView window = graph.MessageRange(begin, end);
   internal::Aggregate(
-      pool, posts.size(), by_person, [] { return AggMap{}; },
+      pool, window.size(), by_person, [] { return AggMap{}; },
       [&](AggMap& local, size_t lo, size_t hi) {
         CancelPoller poll;
-        posts.ForEach(lo, hi, [&](uint32_t msg) {
+        window.ForEach(lo, hi, [&](uint32_t msg) {
           poll.Tick();
-          if (!Graph::IsPost(msg)) return;
-          uint32_t post = Graph::AsPost(msg);
-          post_in_window[post] = 1;
-          Agg& a = local[graph.PostCreator(post)];
-          ++a.threads;
-          ++a.messages;
-        });
-      },
-      merge);
-  // Pass 2 — window comments whose thread root is a window post credit the
-  // initiator (precomputed root; CP-7.2/7.3 transitive replyOf* collapsed
-  // at load). The bitmap is read-only now; like pass 1, the pass is its own
-  // range scan.
-  const Graph::MessageRangeView comments = graph.MessageRange(begin, end);
-  internal::Aggregate(
-      pool, comments.size(), by_person, [] { return AggMap{}; },
-      [&](AggMap& local, size_t lo, size_t hi) {
-        CancelPoller poll;
-        comments.ForEach(lo, hi, [&](uint32_t msg) {
-          poll.Tick();
-          if (Graph::IsPost(msg)) return;
-          uint32_t root = graph.CommentRootPost(Graph::AsComment(msg));
-          if (!post_in_window[root]) return;
+          if (Graph::IsPost(msg)) {
+            Agg& a = local[graph.PostCreator(Graph::AsPost(msg))];
+            ++a.threads;
+            ++a.messages;
+            return;
+          }
+          const uint32_t root = graph.CommentRootPost(Graph::AsComment(msg));
+          if (!graph.PostAlive(root)) return;
+          const core::DateTime rooted =
+              graph.MessageCreationDate(Graph::MessageOfPost(root));
+          if (rooted < begin || rooted >= end) return;
           ++local[graph.PostCreator(root)].messages;
         });
       },

@@ -5,10 +5,10 @@
 #include <thread>
 #include <utility>
 
-#include "bi/bi.h"
 #include "interactive/interactive.h"
 #include "interactive/updates.h"
 #include "sched/scheduler.h"
+#include "sched/stream.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "validate/validator.h"
@@ -381,57 +381,6 @@ DriverReport RunInteractiveWorkload(
   return report;
 }
 
-DriverReport RunBiWorkload(const storage::Graph& graph,
-                           const params::WorkloadParameters& params,
-                           size_t bindings_per_query) {
-  DriverReport report;
-  Recorder recorder(report);
-  const Clock::time_point t0 = Clock::now();
-
-  auto run = [&](const std::string& op, auto&& bindings, auto&& query) {
-    size_t n = std::min(bindings_per_query, bindings.size());
-    for (size_t i = 0; i < n; ++i) {
-      recorder.Run(op, 0.0, t0, [&] {
-        return bi::RunSequential(query, graph, bindings[i]).size();
-      });
-    }
-  };
-
-  run("BI 1", params.bi1, bi::RunBi1);
-  run("BI 2", params.bi2, bi::RunBi2);
-  run("BI 3", params.bi3, bi::RunBi3);
-  run("BI 4", params.bi4, bi::RunBi4);
-  run("BI 5", params.bi5, bi::RunBi5);
-  run("BI 6", params.bi6, bi::RunBi6);
-  run("BI 7", params.bi7, bi::RunBi7);
-  run("BI 8", params.bi8, bi::RunBi8);
-  run("BI 9", params.bi9, bi::RunBi9);
-  run("BI 10", params.bi10, bi::RunBi10);
-  run("BI 11", params.bi11, bi::RunBi11);
-  run("BI 12", params.bi12, bi::RunBi12);
-  run("BI 13", params.bi13, bi::RunBi13);
-  run("BI 14", params.bi14, bi::RunBi14);
-  run("BI 15", params.bi15, bi::RunBi15);
-  run("BI 16", params.bi16, bi::RunBi16);
-  run("BI 17", params.bi17, bi::RunBi17);
-  run("BI 18", params.bi18, bi::RunBi18);
-  run("BI 19", params.bi19, bi::RunBi19);
-  run("BI 20", params.bi20, bi::RunBi20);
-  run("BI 21", params.bi21, bi::RunBi21);
-  run("BI 22", params.bi22, bi::RunBi22);
-  run("BI 23", params.bi23, bi::RunBi23);
-  run("BI 24", params.bi24, bi::RunBi24);
-  run("BI 25", params.bi25, bi::RunBi25);
-
-  report.wall_seconds = MsSince(t0) / 1000.0;
-  report.throughput_ops_per_sec =
-      report.wall_seconds == 0
-          ? 0
-          : static_cast<double>(report.total_operations) / report.wall_seconds;
-  return report;
-}
-
-
 util::Status WriteResultsLog(const std::vector<ResultsLogEntry>& log,
                              const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -499,48 +448,18 @@ DriverReport RunBiReadWriteWorkload(
   Recorder recorder(report);
   const Clock::time_point t0 = Clock::now();
 
-  // Round-robin BI read dispatcher.
-  size_t next_query = 0;
+  // Round-robin BI read dispatcher; templates without bindings are skipped.
+  int next_query = 0;
   size_t cursor[25] = {0};
   auto run_next_read = [&] {
-    size_t q = next_query;
-    next_query = (next_query + 1) % 25;
-    const std::string op = "BI " + std::to_string(q + 1);
-    auto dispatch = [&](auto&& bindings, auto&& query) {
-      if (bindings.empty()) return;
-      recorder.Run(op, 0.0, t0, [&] {
-        const auto& binding = bindings[cursor[q]++ % bindings.size()];
-        return bi::RunSequential(query, graph, binding).size();
-      });
-    };
-    switch (q + 1) {
-      case 1: dispatch(params.bi1, bi::RunBi1); break;
-      case 2: dispatch(params.bi2, bi::RunBi2); break;
-      case 3: dispatch(params.bi3, bi::RunBi3); break;
-      case 4: dispatch(params.bi4, bi::RunBi4); break;
-      case 5: dispatch(params.bi5, bi::RunBi5); break;
-      case 6: dispatch(params.bi6, bi::RunBi6); break;
-      case 7: dispatch(params.bi7, bi::RunBi7); break;
-      case 8: dispatch(params.bi8, bi::RunBi8); break;
-      case 9: dispatch(params.bi9, bi::RunBi9); break;
-      case 10: dispatch(params.bi10, bi::RunBi10); break;
-      case 11: dispatch(params.bi11, bi::RunBi11); break;
-      case 12: dispatch(params.bi12, bi::RunBi12); break;
-      case 13: dispatch(params.bi13, bi::RunBi13); break;
-      case 14: dispatch(params.bi14, bi::RunBi14); break;
-      case 15: dispatch(params.bi15, bi::RunBi15); break;
-      case 16: dispatch(params.bi16, bi::RunBi16); break;
-      case 17: dispatch(params.bi17, bi::RunBi17); break;
-      case 18: dispatch(params.bi18, bi::RunBi18); break;
-      case 19: dispatch(params.bi19, bi::RunBi19); break;
-      case 20: dispatch(params.bi20, bi::RunBi20); break;
-      case 21: dispatch(params.bi21, bi::RunBi21); break;
-      case 22: dispatch(params.bi22, bi::RunBi22); break;
-      case 23: dispatch(params.bi23, bi::RunBi23); break;
-      case 24: dispatch(params.bi24, bi::RunBi24); break;
-      case 25: dispatch(params.bi25, bi::RunBi25); break;
-      default: SNB_UNREACHABLE();
-    }
+    const int q = next_query + 1;
+    next_query = q % 25;
+    const size_t bindings = sched::BindingCount(params, q);
+    if (bindings == 0) return;
+    const sched::StreamOp op{q, cursor[q - 1]++ % bindings};
+    recorder.Run(sched::StreamOpName(op), 0.0, t0, [&] {
+      return sched::ExecuteStreamOp(graph, params, op, nullptr).rows;
+    });
     ++report.complex_reads;
   };
 

@@ -8,8 +8,9 @@
 // Ratio maps simulation time to wall-clock time; the results log records
 // scheduled vs actual start for the §6.2 95 %-on-time audit check.
 //
-// The same driver also runs the BI read mix (sequential analytic queries,
-// one stream), which is what the BI workload draft prescribes.
+// The same driver also runs the BI read mix through the sched:: scheduler:
+// one stream is the BI workload draft's sequential power run, several are
+// its throughput run.
 
 #ifndef SNB_DRIVER_DRIVER_H_
 #define SNB_DRIVER_DRIVER_H_
@@ -138,11 +139,6 @@ DriverReport RunInteractiveWorkload(storage::Graph& graph,
                                     const params::WorkloadParameters& params,
                                     const DriverConfig& config);
 
-/// Runs one sequential BI stream: every BI query once per parameter binding.
-DriverReport RunBiWorkload(const storage::Graph& graph,
-                           const params::WorkloadParameters& params,
-                           size_t bindings_per_query);
-
 /// Runs the BI workload concurrently with the insert stream — the mixed
 /// read/write mode the spec's §5.2 task-force note points towards (and
 /// which the later BI versions adopted): one BI read is issued every
@@ -158,7 +154,8 @@ DriverReport RunBiReadWriteWorkload(storage::Graph& graph,
 /// sched:: scheduler (the paper's throughput run): each stream is a permuted
 /// sequence of the 25 reads, admission-controlled on a fixed worker pool,
 /// with per-query cooperative deadlines. Per-stream sequential semantics
-/// (bi_max_in_flight_per_stream = 1) match RunBiWorkload's results exactly.
+/// (bi_max_in_flight_per_stream = 1) match a sequential run's results
+/// exactly.
 DriverReport RunBiWorkloadMultiStream(const storage::Graph& graph,
                                       const params::WorkloadParameters& params,
                                       size_t bindings_per_query,

@@ -26,8 +26,8 @@
 // which are orders of magnitude apart.
 //
 // Every decision is recorded (query, estimate, predicted speedup, choice)
-// so scheduler reports and BENCH_kernels.json can show *why* each query ran
-// where it ran.
+// so scheduler reports and the traced benchmark run can show *why* each
+// query ran where it ran.
 
 #ifndef SNB_ENGINE_DISPATCH_H_
 #define SNB_ENGINE_DISPATCH_H_

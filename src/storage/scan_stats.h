@@ -1,10 +1,10 @@
 // Ambient per-thread scan instrumentation for zone-mapped index scans.
 //
 // The pushdown work (CP-1.3 bound pruning over CP-2.2/2.3 zone maps) is only
-// credible with counters proving the pruning fires: bench/bench_kernels
-// reports rows decoded and blocks skipped per query, and check.sh's smoke
-// stage asserts skips are non-zero. Rather than widening every scan
-// signature, the sink is ambient — installed per thread with a
+// credible with counters proving the pruning fires: tests/pushdown_test
+// asserts skips are non-zero on every pushdown kernel, and the traced
+// benchmark run reports them over a whole power run. Rather than widening
+// every scan signature, the sink is ambient — installed per thread with a
 // ScopedScanStats guard, exactly like bi::ScopedCancelToken. A count with no
 // installed sink is a single thread-local load and a branch, so production
 // query paths pay essentially nothing.

@@ -4,7 +4,7 @@
 //     person, their messages, every reply under a dead message, incident
 //     edges) and nothing else, and the tombstoned graph passes the
 //     tombstone-* validator invariants;
-//   - a delete-heavy refresh publishes a graph whose BI 1/6/12/13/20/23/24
+//   - a delete-heavy refresh publishes a graph whose BI 1/6/12/13/14/20/23/24
 //     results are bit-identical to loading the post-delete dataset from
 //     scratch, inline and fanned out over 1/2/4/8-thread pools, and
 //     identical whether the published snapshot is compacted or still
@@ -97,6 +97,7 @@ struct BiProbeResults {
   std::vector<bi::Bi6Row> bi6;
   std::vector<bi::Bi12Row> bi12;
   std::vector<bi::Bi13Row> bi13;
+  std::vector<bi::Bi14Row> bi14;
   std::vector<bi::Bi20Row> bi20;
   std::vector<bi::Bi23Row> bi23;
   std::vector<bi::Bi24Row> bi24;
@@ -117,6 +118,11 @@ bi::Bi12Params Probe12() {
   p.date = core::DateFromCivil(2000, 1, 1);
   p.like_threshold = 0;
   return p;
+}
+
+/// A window over the whole timeline: every live thread and reply counts.
+bi::Bi14Params Probe14() {
+  return {core::DateFromCivil(2000, 1, 1), core::DateFromCivil(2030, 1, 1)};
 }
 
 /// Name of the fixture place with external id `id`.
@@ -160,6 +166,7 @@ BiProbeResults RunProbes(const Graph& graph,
           bi::RunBi6(graph, Probe6(), pool),
           bi::RunBi12(graph, Probe12(), pool),
           bi::RunBi13(graph, Probe13(), pool),
+          bi::RunBi14(graph, Probe14(), pool),
           bi::RunBi20(graph, Probe20(), pool),
           bi::RunBi23(graph, Probe23(), pool),
           bi::RunBi24(graph, Probe24(), pool)};
@@ -253,6 +260,7 @@ TEST_F(DeleteCascadeTest, BiResultsMatchFromScratchLoadAcrossPools) {
 
   const BiProbeResults expected = RunProbes(oracle);
   ASSERT_FALSE(expected.bi13.empty());
+  ASSERT_FALSE(expected.bi14.empty());
   ASSERT_FALSE(expected.bi24.empty());
   EXPECT_EQ(RunProbes(tombstoned), expected)
       << "tombstone-filtered scans diverge from a clean load";

@@ -189,7 +189,11 @@ TEST_F(DriverFixture, OperationStatsPercentiles) {
 
 TEST_F(DriverFixture, BiWorkloadRunsEveryQuery) {
   storage::Graph graph = FreshGraph();
-  DriverReport report = RunBiWorkload(graph, workload().params, 2);
+  DriverConfig config;
+  config.bi_streams = 1;
+  config.bi_workers = 1;
+  DriverReport report =
+      RunBiWorkloadMultiStream(graph, workload().params, 2, config);
   EXPECT_EQ(report.per_operation.size(), 25u);
   for (const auto& [op, stats] : report.per_operation) {
     EXPECT_EQ(stats.count, 2u) << op;

@@ -4,12 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "datagen/datagen.h"
 #include "params/parameter_curation.h"
 #include "storage/graph.h"
+#include "util/rng.h"
 
 namespace snb::params {
 namespace {
@@ -113,6 +117,48 @@ TEST_F(ParamsFixture, CuratedPersonsAreWellConnected) {
     ASSERT_NE(idx, storage::kNoIdx);
     EXPECT_GT(graph().Knows().Degree(idx), 0u);
   }
+}
+
+/// Coefficient of variation of the work a per-person template touches: the
+/// friend-adjacent message count (IC 2's candidate set) of each person.
+double WorkCv(const storage::Graph& graph,
+              const std::vector<core::Id>& persons) {
+  double sum = 0, sq = 0;
+  for (core::Id id : persons) {
+    double work = 0;
+    graph.Knows().ForEach(graph.PersonIdx(id), [&](uint32_t f) {
+      work += static_cast<double>(graph.PersonPosts().Degree(f) +
+                                  graph.PersonComments().Degree(f));
+    });
+    sum += work;
+    sq += work * work;
+  }
+  const double n = static_cast<double>(persons.size());
+  const double mean = sum / n;
+  const double var = sq / n - mean * mean;
+  return mean > 0 ? std::sqrt(std::max(var, 0.0)) / mean : 0;
+}
+
+TEST_F(ParamsFixture, CuratedBindingsSpreadWorkLessThanRandomOnes) {
+  // P1 measured on the work itself, not on the curation's own statistic:
+  // the curated IC 2 persons must touch a more uniform number of messages
+  // than an equal-size uniform sample of persons.
+  CurationConfig cfg;
+  cfg.per_query = 10;
+  WorkloadParameters wp = CurateParameters(graph(), cfg);
+  std::vector<core::Id> curated;
+  for (const auto& p : wp.ic2) curated.push_back(p.person_id);
+  ASSERT_EQ(curated.size(), 10u);
+  util::Rng rng(777);
+  std::vector<core::Id> random;
+  for (size_t i = 0; i < curated.size(); ++i) {
+    random.push_back(graph()
+                         .PersonAt(static_cast<uint32_t>(rng.UniformInt(
+                             0, static_cast<int64_t>(graph().NumPersons()) -
+                                    1)))
+                         .id);
+  }
+  EXPECT_LT(WorkCv(graph(), curated), WorkCv(graph(), random));
 }
 
 TEST_F(ParamsFixture, WritesSubstitutionParameterFiles) {

@@ -22,6 +22,7 @@
 #include "engine/dispatch.h"
 #include "engine/morsel.h"
 #include "engine/top_k.h"
+#include "params/parameter_curation.h"
 #include "storage/graph.h"
 #include "storage/message_index.h"
 #include "storage/scan_stats.h"
@@ -125,7 +126,7 @@ class PushdownFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     datagen::DatagenConfig cfg;
-    cfg.num_persons = 250;
+    cfg.num_persons = 2000;
     cfg.activity_scale = 0.5;
     graph_ = new storage::Graph(std::move(datagen::Generate(cfg).network));
   }
@@ -146,11 +147,73 @@ class PushdownFixture : public ::testing::Test {
     return core::DateFromDateTime(idx.BaseDateAt(idx.base_size() / 2));
   }
 
+  /// One curated binding per query plus synthetic ones that exercise every
+  /// pruning path by construction, whatever curation picks at this scale:
+  /// a mid-index date makes the date zones prune about half the base, and
+  /// zero thresholds over wide windows overfill the top-100 so the CP-1.3
+  /// bound must start dropping candidates.
+  static params::WorkloadParameters PruningParams() {
+    params::CurationConfig pc;
+    pc.per_query = 1;
+    params::WorkloadParameters wp = params::CurateParameters(graph(), pc);
+    const core::Date mid = MidDate();
+    wp.bi12.push_back({mid, 0});
+    bi::Bi18Params p18 = wp.bi18.at(0);
+    p18.date = mid;
+    p18.length_threshold = 1 << 30;
+    p18.languages.push_back(graph().PostAt(0).language);
+    wp.bi18.push_back(p18);
+    bi::Bi2Params p2 = wp.bi2.at(0);
+    p2.start_date = 0;          // 1970: the whole timeline
+    p2.end_date = mid + 36500;  // about 100 years past the data
+    p2.threshold = 0;
+    wp.bi2.push_back(p2);
+    const core::CivilDate c = core::CivilFromDate(mid);
+    wp.bi3.push_back({c.year, c.month});
+    return wp;
+  }
+
  private:
   static storage::Graph* graph_;
 };
 
 storage::Graph* PushdownFixture::graph_ = nullptr;
+
+/// Scan counters summed over one inline run of every binding.
+struct PruningCounts {
+  uint64_t rows_decoded = 0;
+  uint64_t blocks_skipped_date = 0;
+  uint64_t blocks_skipped_bound = 0;
+  uint64_t rows_skipped_bound = 0;
+};
+
+/// Checks every binding's inline run — and, for a morsel kernel
+/// (`pooled`), its run on a 4-thread pool that fans out whatever the input
+/// size — against the naive engine, and returns the inline runs' scan
+/// counters. `run(graph, binding, pool)` runs the kernel inline for a null
+/// pool.
+template <typename Bindings, typename Run, typename Naive>
+PruningCounts CheckAgainstNaive(const storage::Graph& graph,
+                                const Bindings& bindings, Run&& run,
+                                Naive&& naive, bool pooled) {
+  engine::internal::GlobalMorselTuning().min_morsels_for_fanout = 1;
+  util::ThreadPool pool(4);
+  storage::ScanStats stats;
+  for (size_t b = 0; b < bindings.size(); ++b) {
+    const auto expected = naive(graph, bindings[b]);
+    {
+      storage::ScopedScanStats guard(&stats);
+      EXPECT_EQ(run(graph, bindings[b], nullptr), expected)
+          << "inline, binding " << b;
+    }
+    if (pooled) {
+      EXPECT_EQ(run(graph, bindings[b], &pool), expected)
+          << "pooled, binding " << b;
+    }
+  }
+  return {stats.rows_decoded.load(), stats.blocks_skipped_date.load(),
+          stats.blocks_skipped_bound.load(), stats.rows_skipped_bound.load()};
+}
 
 TEST_F(PushdownFixture, Bi12BitIdenticalUnderBoundRaceInterleavings) {
   // A permissive binding: most messages qualify, so the shared bound is
@@ -208,6 +271,21 @@ TEST_F(PushdownFixture, EmptyResultsAgreeAcrossEngines) {
             bi::RunBi14(graph(), p14));
   EXPECT_TRUE(bi::RunBi6(graph(), p6).empty());
   EXPECT_EQ(bi::RunBi6(graph(), p6, &pool), bi::RunBi6(graph(), p6));
+  bi::Bi2Params p2;
+  p2.start_date = core::DateFromCivil(2040, 1, 1);
+  p2.end_date = core::DateFromCivil(2041, 1, 1);
+  p2.country1 = graph().PlaceAt(graph().PersonCountry(0)).name;
+  p2.country2 = p2.country1;
+  p2.threshold = 0;
+  bi::Bi3Params p3{2040, 1};
+  bi::Bi18Params p18{core::DateFromCivil(2040, 1, 1), 0, {"no-such-lang"}};
+  EXPECT_TRUE(bi::RunBi2(graph(), p2).empty());
+  EXPECT_EQ(bi::RunBi2(graph(), p2), bi::naive::RunBi2(graph(), p2));
+  EXPECT_EQ(bi::RunBi2(graph(), p2, &pool), bi::RunBi2(graph(), p2));
+  EXPECT_TRUE(bi::RunBi3(graph(), p3).empty());
+  EXPECT_EQ(bi::RunBi3(graph(), p3), bi::naive::RunBi3(graph(), p3));
+  EXPECT_EQ(bi::RunBi3(graph(), p3, &pool), bi::RunBi3(graph(), p3));
+  EXPECT_EQ(bi::RunBi18(graph(), p18), bi::naive::RunBi18(graph(), p18));
 }
 
 TEST_F(PushdownFixture, KExceedsCandidatesKeepsEveryRow) {
@@ -228,19 +306,48 @@ TEST_F(PushdownFixture, KExceedsCandidatesKeepsEveryRow) {
 }
 
 TEST_F(PushdownFixture, CountersProvePruningFires) {
-  bi::Bi12Params p{MidDate(), 0};
-  storage::ScanStats stats;
-  {
-    storage::ScopedScanStats guard(&stats);
-    bi::RunBi12(graph(), p);
+  // Every pushdown kernel, over the pruning bindings: rows bit-identical to
+  // the naive engine, and the scan counters prove the pruning fires — a
+  // silently disabled bound or zone map fails here even though its results
+  // would still be correct.
+  const params::WorkloadParameters wp = PruningParams();
+  auto bi18 = [](const storage::Graph& g, const bi::Bi18Params& b,
+                 util::ThreadPool*) { return bi::RunBi18(g, b); };
+  const struct {
+    int query;
+    PruningCounts counts;
+  } kernels[] = {
+      {2, CheckAgainstNaive(graph(), wp.bi2, bi::RunBi2, bi::naive::RunBi2,
+                            true)},
+      {3, CheckAgainstNaive(graph(), wp.bi3, bi::RunBi3, bi::naive::RunBi3,
+                            true)},
+      {6, CheckAgainstNaive(graph(), wp.bi6, bi::RunBi6, bi::naive::RunBi6,
+                            true)},
+      {12, CheckAgainstNaive(graph(), wp.bi12, bi::RunBi12,
+                             bi::naive::RunBi12, true)},
+      {14, CheckAgainstNaive(graph(), wp.bi14, bi::RunBi14,
+                             bi::naive::RunBi14, true)},
+      {18, CheckAgainstNaive(graph(), wp.bi18, bi18, bi::naive::RunBi18,
+                             false)},
+  };
+  for (const auto& [query, c] : kernels) {
+    // Zone-mapped scans prune whole units. BI 6 is exempt: it walks tag
+    // adjacency, not the date index; its pruning is the bound below.
+    if (query != 6) {
+      EXPECT_GT(c.blocks_skipped_date + c.blocks_skipped_bound, 0u)
+          << "BI " << query << ": zone pruning never fired";
+    }
+    // Bounded top-k finishers drop candidates. BI 18 is exempt: a full
+    // histogram with no top-k bound.
+    if (query != 18) {
+      EXPECT_GT(c.blocks_skipped_bound + c.rows_skipped_bound, 0u)
+          << "BI " << query << ": CP-1.3 bound pushdown never fired";
+    }
   }
-  EXPECT_GT(stats.rows_decoded.load(), 0u);
-  // The range anchored mid-index must date-prune the front half.
-  EXPECT_GT(stats.blocks_skipped_date.load(), 0u);
-  // A zero threshold overfills the heap, so the bound must drop rows.
-  EXPECT_GT(stats.rows_skipped_bound.load() +
-                stats.blocks_skipped_bound.load(),
-            0u);
+  // The BI 12 binding anchored mid-index decodes rows and date-prunes the
+  // front half.
+  EXPECT_GT(kernels[3].counts.rows_decoded, 0u);
+  EXPECT_GT(kernels[3].counts.blocks_skipped_date, 0u);
 }
 
 TEST_F(PushdownFixture, CountersAggregateAcrossMorselSlots) {
